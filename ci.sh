@@ -114,4 +114,11 @@ test -s target/ci_quickstart.trace.jsonl
 test -s target/ci_quickstart.report.json
 cargo run --release --offline -q -p csolve-bench --bin trace_smoke
 
+echo "==> repository benchmark builds and passes its smoke run"
+# benchmark/ is a package of its own, outside the workspace, compiled from
+# source against the csolve façade's public API. --smoke runs every
+# workload of BENCHMARK.json at a tiny size, traced and untraced, and
+# exits non-zero when a result is wrong or a declared metric is missing.
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "CI OK"

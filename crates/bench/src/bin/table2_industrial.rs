@@ -27,7 +27,8 @@ struct Row {
     paper: &'static str,
     algo: Algorithm,
     backend: DenseBackend,
-    sparse_compression: bool,
+    /// `Some(0.0)` turns sparse-front compression off.
+    sparse_eps: Option<f64>,
     n_b: usize,
 }
 
@@ -58,7 +59,7 @@ fn main() {
             paper: "OOM (paper: cannot run)",
             algo: Algorithm::AdvancedCoupling,
             backend: DenseBackend::Spido,
-            sparse_compression: false,
+            sparse_eps: Some(0.0),
             n_b: 4,
         },
         Row {
@@ -66,7 +67,7 @@ fn main() {
             paper: "OOM (paper: cannot run)",
             algo: Algorithm::MultiFactorization,
             backend: DenseBackend::Spido,
-            sparse_compression: false,
+            sparse_eps: Some(0.0),
             n_b: 4,
         },
         Row {
@@ -74,7 +75,7 @@ fn main() {
             paper: "runs (only uncompressed survivor)",
             algo: Algorithm::MultiSolve,
             backend: DenseBackend::Spido,
-            sparse_compression: false,
+            sparse_eps: Some(0.0),
             n_b: 4,
         },
         Row {
@@ -82,7 +83,7 @@ fn main() {
             paper: "faster + less RAM than row 3",
             algo: Algorithm::MultiSolve,
             backend: DenseBackend::Spido,
-            sparse_compression: true,
+            sparse_eps: None,
             n_b: 4,
         },
         Row {
@@ -90,7 +91,7 @@ fn main() {
             paper: "completes; faster than multi-solve, more RAM",
             algo: Algorithm::MultiFactorization,
             backend: DenseBackend::Spido,
-            sparse_compression: true,
+            sparse_eps: None,
             n_b: 4,
         },
         Row {
@@ -98,7 +99,7 @@ fn main() {
             paper: "large further improvement",
             algo: Algorithm::MultiSolve,
             backend: DenseBackend::Hmat,
-            sparse_compression: true,
+            sparse_eps: None,
             n_b: 4,
         },
         Row {
@@ -106,7 +107,7 @@ fn main() {
             paper: "large further improvement",
             algo: Algorithm::MultiFactorization,
             backend: DenseBackend::Hmat,
-            sparse_compression: true,
+            sparse_eps: None,
             n_b: 4,
         },
         Row {
@@ -114,7 +115,7 @@ fn main() {
             paper: "bigger Schur blocks: faster, more RAM",
             algo: Algorithm::MultiFactorization,
             backend: DenseBackend::Hmat,
-            sparse_compression: true,
+            sparse_eps: None,
             n_b: 2,
         },
         Row {
@@ -122,7 +123,7 @@ fn main() {
             paper: "biggest block: fastest facto, most RAM",
             algo: Algorithm::MultiFactorization,
             backend: DenseBackend::Hmat,
-            sparse_compression: true,
+            sparse_eps: None,
             n_b: 1,
         },
     ];
@@ -135,7 +136,7 @@ fn main() {
         let cfg = SolverConfig {
             eps,
             dense_backend: row.backend,
-            sparse_compression: row.sparse_compression,
+            sparse_eps: row.sparse_eps,
             n_b: row.n_b,
             mem_budget: Some(budget),
             num_threads: threads,

@@ -14,16 +14,16 @@
 //! [`MemCharge`] guard that releases the bytes when dropped. [`Tracked`]
 //! bundles a value with its charge so the two cannot go out of sync.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::error::{Error, Result};
 
 /// Thread-safe live/peak byte accounting with an optional hard budget.
 #[derive(Debug)]
 pub struct MemTracker {
-    live: AtomicUsize,
-    peak: AtomicUsize,
+    /// `(live, peak)`, kept under one lock so every reader sees a
+    /// consistent pair and `peak >= live` holds at every observation.
+    bytes: Mutex<(usize, usize)>,
     budget: usize,
 }
 
@@ -31,8 +31,7 @@ impl MemTracker {
     /// Tracker with a hard budget in bytes.
     pub fn with_budget(budget: usize) -> Arc<Self> {
         Arc::new(Self {
-            live: AtomicUsize::new(0),
-            peak: AtomicUsize::new(0),
+            bytes: Mutex::new((0, 0)),
             budget,
         })
     }
@@ -42,14 +41,25 @@ impl MemTracker {
         Self::with_budget(usize::MAX)
     }
 
+    fn lock(&self) -> MutexGuard<'_, (usize, usize)> {
+        self.bytes.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Currently live tracked bytes.
     pub fn live(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
+        self.lock().0
     }
 
     /// High-water mark of tracked bytes.
     pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
+        self.lock().1
+    }
+
+    /// `(live, peak)` read together, so `peak >= live` always holds for the
+    /// returned pair (two separate [`Self::live`]/[`Self::peak`] calls can
+    /// straddle a concurrent charge or [`Self::reset_peak`]).
+    pub fn snapshot(&self) -> (usize, usize) {
+        *self.lock()
     }
 
     /// The configured budget in bytes.
@@ -59,19 +69,9 @@ impl MemTracker {
 
     /// Reset the peak to the current live value (used between experiment
     /// phases that are reported separately).
-    ///
-    /// Safe against concurrent [`MemTracker::charge`] calls: a plain
-    /// `peak.store(live)` could be overtaken by a charge that raised `live`
-    /// between the load and the store, leaving `peak < live` at rest. The
-    /// trailing `fetch_max` against a re-read of `live` repairs every such
-    /// interleaving — either this call observes the raised `live`, or the
-    /// racing charge's own `fetch_max` (which runs after its `live` update)
-    /// lands after our store.
     pub fn reset_peak(&self) {
-        self.peak
-            .store(self.live.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.peak
-            .fetch_max(self.live.load(Ordering::Relaxed), Ordering::Relaxed);
+        let mut b = self.lock();
+        b.1 = b.0;
     }
 
     /// Reserve `bytes` in the accounting without creating a guard; the raw
@@ -79,34 +79,18 @@ impl MemTracker {
     /// grow an existing guard in place (a nested guard would hold an extra
     /// `Arc` reference that `resize` would have to leak).
     fn reserve_raw(&self, bytes: usize, what: &'static str) -> Result<()> {
-        // Optimistic CAS loop so concurrent charges cannot jointly overshoot
-        // the budget.
-        let mut cur = self.live.load(Ordering::Relaxed);
-        loop {
-            let new = cur.checked_add(bytes).ok_or(Error::OutOfMemory {
+        let mut b = self.lock();
+        match b.0.checked_add(bytes) {
+            Some(new) if new <= self.budget => {
+                *b = (new, b.1.max(new));
+                Ok(())
+            }
+            _ => Err(Error::OutOfMemory {
                 requested: bytes,
-                live: cur,
+                live: b.0,
                 budget: self.budget,
                 what,
-            })?;
-            if new > self.budget {
-                return Err(Error::OutOfMemory {
-                    requested: bytes,
-                    live: cur,
-                    budget: self.budget,
-                    what,
-                });
-            }
-            match self
-                .live
-                .compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => {
-                    self.peak.fetch_max(new, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(seen) => cur = seen,
-            }
+            }),
         }
     }
 
@@ -114,11 +98,8 @@ impl MemTracker {
     /// mis-sized release can never wrap `live` around to a huge value (which
     /// would wedge every further charge as out-of-budget).
     fn release_raw(&self, bytes: usize) {
-        let _ = self
-            .live
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(bytes))
-            });
+        let mut b = self.lock();
+        b.0 = b.0.saturating_sub(bytes);
     }
 
     /// Charge `bytes` against the budget. Fails with [`Error::OutOfMemory`]
@@ -363,12 +344,21 @@ mod tests {
 
     #[test]
     fn reset_peak_racing_charges_never_records_peak_below_live() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// Counts a charger thread as finished even when it panics, so a
+        /// failed assertion fails the test instead of spinning the reset
+        /// thread forever.
+        struct Done<'a>(&'a AtomicUsize);
+        impl Drop for Done<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+
         // Seeded-thread stress: chargers push live up and down while another
-        // thread hammers reset_peak. After every reset completes, the
-        // invariant `peak >= live` must hold at rest; we check it from the
-        // charger threads right after each charge (their own fetch_max has
-        // run by then, so a violation can only come from a lost update in
-        // reset_peak).
+        // thread hammers reset_peak. Every consistent (live, peak) snapshot
+        // must satisfy `peak >= live`, whichever thread takes it.
         for round in 0..20u64 {
             let t = MemTracker::with_budget(usize::MAX);
             let stop = AtomicUsize::new(0);
@@ -376,6 +366,7 @@ mod tests {
                 let (t, stop) = (&t, &stop);
                 for thr in 0..4u64 {
                     s.spawn(move || {
+                        let _done = Done(stop);
                         // Deterministic per-thread charge sizes (seeded by
                         // round and thread id) so failures reproduce.
                         let mut state = round * 1_000 + thr + 1;
@@ -383,21 +374,22 @@ mod tests {
                             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                             let bytes = (state >> 33) as usize % 4096 + 1;
                             let g = t.charge(bytes, "stress").unwrap();
+                            let (live, peak) = t.snapshot();
                             assert!(
-                                t.peak() >= g.bytes(),
-                                "peak dropped below a just-made charge"
+                                peak >= live && live >= g.bytes(),
+                                "peak {peak} below live {live} or a just-made charge"
                             );
                             drop(g);
                         }
-                        stop.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                     });
                 }
                 s.spawn(move || {
-                    while stop.load(std::sync::atomic::Ordering::SeqCst) < 4 {
+                    while stop.load(Ordering::SeqCst) < 4 {
                         t.reset_peak();
+                        let (live, peak) = t.snapshot();
                         assert!(
-                            t.peak() >= t.live().saturating_sub(0) || t.peak() >= t.live(),
-                            "reset_peak left peak below live"
+                            peak >= live,
+                            "reset_peak left peak {peak} below live {live}"
                         );
                         std::hint::spin_loop();
                     }

@@ -129,16 +129,12 @@ pub struct SolverConfig {
     pub eps: f64,
     /// Dense solver handling `A_ss` and the Schur complement `S`.
     pub dense_backend: DenseBackend,
-    /// Enable BLR compression inside the sparse solver (paper: MUMPS
+    /// BLR compression of the sparse solver's fronts (paper: MUMPS
     /// low-rank, on for every experiment except the reference rows of
-    /// Table II).
-    pub sparse_compression: bool,
-    /// BLR tolerance of the sparse solver, decoupled from the dense-side
-    /// [`SolverConfig::eps`]. `None` (the default) keeps the legacy
-    /// behaviour of reusing `eps` whenever `sparse_compression` is on;
-    /// `Some(e)` with `e > 0` compresses the sparse fronts at tolerance `e`
-    /// regardless of the dense setting, and `Some(0.0)` forces the exact,
-    /// uncompressed sparse path. See [`SolverConfig::effective_sparse_eps`].
+    /// Table II). `None` (the default) compresses at the dense-side
+    /// [`SolverConfig::eps`], `Some(e)` with `e > 0` at tolerance `e`, and
+    /// `Some(0.0)` turns compression off (the exact, uncompressed sparse
+    /// path). See [`SolverConfig::effective_sparse_eps`].
     pub sparse_eps: Option<f64>,
     /// Multi-solve: columns per sparse-solve panel (`n_c`, paper: 32–256).
     pub n_c: usize,
@@ -189,7 +185,6 @@ impl Default for SolverConfig {
         Self {
             eps: 1e-3,
             dense_backend: DenseBackend::Hmat,
-            sparse_compression: true,
             sparse_eps: None,
             n_c: 256,
             n_s: 1024,
@@ -268,23 +263,19 @@ impl SolverConfig {
         Ok(())
     }
 
-    /// The BLR tolerance actually applied to the sparse fronts, resolving
-    /// the interplay of [`SolverConfig::sparse_eps`] and the legacy
-    /// [`SolverConfig::sparse_compression`] switch:
+    /// The BLR tolerance actually applied to the sparse fronts:
     ///
-    /// * `sparse_eps: Some(e)` with `e > 0` → `Some(e)` (explicit tolerance
-    ///   wins, even when `sparse_compression` is `false`);
-    /// * `sparse_eps: Some(0.0)` → `None` (compression forced off);
-    /// * `sparse_eps: None` → `Some(eps)` if `sparse_compression`, else
-    ///   `None` (the pre-`sparse_eps` behaviour).
+    /// * `sparse_eps: None` → `Some(eps)` (the dense-side tolerance);
+    /// * `sparse_eps: Some(0.0)` → `None` (compression off);
+    /// * `sparse_eps: Some(e)` → `Some(e)`.
     ///
     /// `None` means the numeric factorization stores every panel dense and
     /// is bitwise identical to a build without the compression code path.
     pub fn effective_sparse_eps(&self) -> Option<f64> {
         match self.sparse_eps {
+            None => Some(self.eps),
             Some(e) if e > 0.0 => Some(e),
             Some(_) => None,
-            None => self.sparse_compression.then_some(self.eps),
         }
     }
 
@@ -357,17 +348,10 @@ impl SolverConfigBuilder {
         self
     }
 
-    /// Enable BLR compression inside the sparse solver.
-    pub fn sparse_compression(mut self, on: bool) -> Self {
-        self.cfg.sparse_compression = on;
-        self
-    }
-
     /// BLR tolerance for the sparse fronts, independent of the dense-side
-    /// [`Self::eps`]. Pass `0.0` to force the exact uncompressed sparse
-    /// path; must be finite and >= 0. See
-    /// [`SolverConfig::effective_sparse_eps`] for how this composes with
-    /// [`Self::sparse_compression`].
+    /// [`Self::eps`] (which it defaults to). Pass `0.0` to turn compression
+    /// off (the exact uncompressed sparse path); must be finite and >= 0.
+    /// See [`SolverConfig::effective_sparse_eps`].
     pub fn sparse_eps(mut self, eps: f64) -> Self {
         self.cfg.sparse_eps = Some(eps);
         self
@@ -645,7 +629,7 @@ mod tests {
         assert_eq!(c.eps, 1e-3);
         assert_eq!(c.n_c, 256);
         assert!(c.n_s >= 512);
-        assert!(c.sparse_compression);
+        assert_eq!(c.sparse_eps, None, "sparse fronts compress at eps");
     }
 
     #[test]
@@ -717,22 +701,13 @@ mod tests {
 
     #[test]
     fn sparse_eps_resolution() {
-        // Legacy default: reuse the dense eps while sparse_compression is on.
+        // Default: the sparse fronts reuse the dense eps.
         let c = SolverConfig::default();
         assert_eq!(c.effective_sparse_eps(), Some(c.eps));
-        let c = SolverConfig {
-            sparse_compression: false,
-            ..Default::default()
-        };
-        assert_eq!(c.effective_sparse_eps(), None);
-        // Explicit tolerance decouples from eps and from the legacy switch.
-        let c = SolverConfig::builder()
-            .sparse_compression(false)
-            .sparse_eps(1e-9)
-            .build()
-            .unwrap();
+        // An explicit tolerance decouples from eps.
+        let c = SolverConfig::builder().sparse_eps(1e-9).build().unwrap();
         assert_eq!(c.effective_sparse_eps(), Some(1e-9));
-        // sparse_eps = 0 forces the exact uncompressed path.
+        // sparse_eps = 0 turns compression off: the exact uncompressed path.
         let c = SolverConfig::builder().sparse_eps(0.0).build().unwrap();
         assert_eq!(c.effective_sparse_eps(), None);
     }

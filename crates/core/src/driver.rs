@@ -22,7 +22,7 @@ use csolve_common::{
     ByteSized, Error, MemTracker, PhaseTimer, Result, Scalar, ScopeTracer, SpanKind, Stopwatch,
     TraceEventKind, Tracer,
 };
-use csolve_dense::{Mat, MatRef};
+use csolve_dense::Mat;
 use csolve_fembem::{BemOperator, CoupledProblem};
 use csolve_hmat::ClusterTree;
 use csolve_sparse::{
@@ -47,8 +47,6 @@ struct Ws<'a, T: Scalar> {
     a_sv: Csc<T>,
     a_vs: Csc<T>,
     bem: BemOperator<T>,
-    b_v: &'a [T],
-    b_s: Vec<T>,
     tree: ClusterTree,
     symmetric: bool,
     /// Accumulated BLR statistics of every sparse factorization of the run
@@ -179,13 +177,16 @@ impl Drop for KernelCounting {
 /// boundary (main-thread call sites only, to keep run-scope record order
 /// thread-count independent).
 fn mem_sample(rt: ScopeTracer<'_>, tracker: &MemTracker) {
-    rt.event(TraceEventKind::MemHighWater {
-        live: tracker.live(),
-        peak: tracker.peak(),
-    });
+    let (live, peak) = tracker.snapshot();
+    rt.event(TraceEventKind::MemHighWater { live, peak });
 }
 
 /// Solve the coupled system with the chosen algorithm and configuration.
+///
+/// The one-shot solve is the session layer's factorization followed by a
+/// width-1 panel solve on a fresh tracker, so a cached
+/// [`SolverSession`](crate::SolverSession) solve is bitwise-identical to it
+/// by construction.
 ///
 /// # Examples
 ///
@@ -215,18 +216,22 @@ pub fn solve<T: Scalar>(
     cfg: &SolverConfig,
 ) -> Result<Outcome<T>> {
     cfg.validate()?;
-    let threads = effective_threads(cfg);
     let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
+        .num_threads(effective_threads(cfg))
         .build()
         .map_err(|e| Error::InvalidConfig(format!("thread pool construction failed: {e}")))?;
-    pool.install(|| solve_inner(problem, algo, cfg, threads))
+    pool.install(|| {
+        let tracker = match cfg.mem_budget {
+            Some(b) => MemTracker::with_budget(b),
+            None => MemTracker::unbounded(),
+        };
+        let clock = RunClock::start(cfg);
+        let (factors, run) = factor(problem, algo, cfg, &tracker, &clock.timer)?;
+        let (xv, xs) = factors.solve_panel(&problem.b_v, &problem.b_s, cfg, &clock.timer)?;
+        let metrics = clock.finish(problem, cfg, &tracker, run);
+        Ok(Outcome { xv, xs, metrics })
+    })
 }
-
-/// What each blockwise pipeline hands back to `solve_inner`: the volume and
-/// (permuted) surface solutions, the Schur storage bytes for `Metrics`, and
-/// the autotuner's decision when `BlockSizes::Auto` ran.
-type BlockwiseOut<T> = (Vec<T>, Vec<T>, usize, Option<AutotuneDecision>);
 
 /// What each blockwise `*_factors` phase hands back: the reusable sparse and
 /// Schur factors, the Schur storage bytes, and the autotune decision.
@@ -239,9 +244,9 @@ type FactorsOut<T> = (
 
 /// The reusable factorization state behind a solve: either `A_vv` factored
 /// on its own plus the factored Schur complement (baseline, multi-solve,
-/// multi-factorization — consumed by [`finish_solution`]'s equations), or
-/// the stacked-`W` partial factorization of the advanced coupling (consumed
-/// by [`condensed_solution`]).
+/// multi-factorization — consumed by [`finish_solution_panel`]'s
+/// equations), or the stacked-`W` partial factorization of the advanced
+/// coupling (consumed by [`condensed_solution`]).
 enum FactorState<T: Scalar> {
     Direct {
         fact: SparseFactorization<T>,
@@ -253,12 +258,12 @@ enum FactorState<T: Scalar> {
     },
 }
 
-/// Everything `SolverSession` needs to serve repeated right-hand sides for
-/// one factorized coupled matrix, detached from the problem's borrowed
-/// data: the factor state, the cluster permutation, and the permuted
-/// coupling blocks. The sparse and Schur factors hold their `MemCharge`s,
-/// so a cached `SessionFactors` keeps its bytes accounted on the tracker it
-/// was factorized against until it is dropped.
+/// Everything needed to serve repeated right-hand sides for one factorized
+/// coupled matrix, detached from the problem's borrowed data: the factor
+/// state, the cluster permutation, and the permuted coupling blocks. The
+/// sparse and Schur factors hold their `MemCharge`s, so a cached
+/// `SessionFactors` keeps its bytes accounted on the tracker it was
+/// factorized against until it is dropped.
 pub(crate) struct SessionFactors<T: Scalar> {
     state: FactorState<T>,
     tree: ClusterTree,
@@ -266,8 +271,6 @@ pub(crate) struct SessionFactors<T: Scalar> {
     a_vs: Csc<T>,
     nv: usize,
     ns: usize,
-    /// Metrics of the factorization run (no solution phases).
-    pub(crate) metrics: Metrics,
 }
 
 impl<T: Scalar> SessionFactors<T> {
@@ -302,15 +305,15 @@ impl<T: Scalar> SessionFactors<T> {
             + self.tree.perm.len() * std::mem::size_of::<usize>()
     }
 
-    /// Solve a `w`-column right-hand-side panel. `b_v` is `nv × w` and
-    /// `b_s` is `ns × w`, both column-major in the *original* index order;
-    /// the returned `(xv, xs)` panels use the same layout and ordering.
+    /// Solve a `w`-column right-hand-side panel (the solution phase, paper
+    /// equations (7)). `b_v` is `nv × w` and `b_s` is `ns × w`, both
+    /// column-major in the *original* index order; the returned `(xv, xs)`
+    /// panels use the same layout and ordering.
     ///
     /// The whole panel runs under [`csolve_dense::with_colwise_det`], so
-    /// column `j` of the result is bitwise-identical to a one-shot
-    /// [`solve`] of that right-hand side with the same configuration and
-    /// factors — the demuxed per-request solutions match the sequential
-    /// one-RHS path bit for bit at every thread count.
+    /// column `j` of the result is bitwise-identical to the width-1 panel
+    /// a one-shot [`solve`] of that right-hand side runs with the same
+    /// configuration and factors — at every thread count.
     pub(crate) fn solve_panel(
         &self,
         b_v: &[T],
@@ -349,32 +352,101 @@ impl<T: Scalar> SessionFactors<T> {
     }
 }
 
+/// What [`factor`] measures besides the factors themselves: the inputs of
+/// the run's [`Metrics`] that only the factorization phase knows.
+struct FactorRun {
+    schur_bytes: usize,
+    autotune: Option<AutotuneDecision>,
+    sparse_compression: Option<SparseCompressionSummary>,
+}
+
+/// The per-run instruments shared by [`solve`] and [`factorize_session`]:
+/// the phase timer, the wall clock, and the kernel-counter window.
+struct RunClock {
+    timer: PhaseTimer,
+    sw: Stopwatch,
+    counting: KernelCounting,
+}
+
+impl RunClock {
+    fn start(cfg: &SolverConfig) -> Self {
+        Self {
+            timer: PhaseTimer::new(),
+            sw: Stopwatch::start(),
+            counting: KernelCounting::start(&cfg.tracer),
+        }
+    }
+
+    /// The shared epilogue: sample the tracker, close the kernel-counter
+    /// window, and assemble the run's [`Metrics`].
+    fn finish<T: Scalar>(
+        self,
+        problem: &CoupledProblem<T>,
+        cfg: &SolverConfig,
+        tracker: &MemTracker,
+        run: FactorRun,
+    ) -> Metrics {
+        let rt = cfg.tracer.run();
+        mem_sample(rt, tracker);
+        self.counting.finish(rt);
+        Metrics {
+            phases: self
+                .timer
+                .phases()
+                .into_iter()
+                .map(|(n, d)| (n, d.as_secs_f64()))
+                .collect(),
+            total_seconds: self.sw.elapsed_secs(),
+            peak_bytes: tracker.peak(),
+            schur_bytes: run.schur_bytes,
+            phase_bytes: self.timer.bytes(),
+            phase_flops: self.timer.flops(),
+            threads: rayon::current_num_threads(),
+            n_total: problem.n_total(),
+            n_bem: problem.n_bem(),
+            n_fem: problem.n_fem(),
+            autotune: run.autotune,
+            sparse_compression: run.sparse_compression,
+        }
+    }
+}
+
 /// Build the reusable factorization state for a session cache entry: the
-/// chosen algorithm's factorization phase without the solution phase.
-/// Runs on the caller's rayon pool (the session installs its own) and
-/// charges everything against `tracker` — including the factor storage,
-/// whose charges the returned [`SessionFactors`] keeps holding.
+/// chosen algorithm's factorization phase without the solution phase, and
+/// the [`Metrics`] of that run. Runs on the caller's rayon pool (the session
+/// installs its own) and charges everything against `tracker` — including
+/// the factor storage, whose charges the returned [`SessionFactors`] keeps
+/// holding.
 pub(crate) fn factorize_session<T: Scalar>(
     problem: &CoupledProblem<T>,
     algo: Algorithm,
     cfg: &SolverConfig,
     tracker: &Arc<MemTracker>,
-) -> Result<SessionFactors<T>> {
+) -> Result<(SessionFactors<T>, Metrics)> {
     cfg.validate()?;
-    let timer = PhaseTimer::new();
-    let sw = Stopwatch::start();
-    let counting = KernelCounting::start(&cfg.tracer);
+    let clock = RunClock::start(cfg);
+    let (factors, run) = factor(problem, algo, cfg, tracker, &clock.timer)?;
+    Ok((factors, clock.finish(problem, cfg, tracker, run)))
+}
 
+/// The factorization phase of every algorithm: put the surface unknowns in
+/// cluster order once (every blockwise Schur range is then contiguous for
+/// both dense and H-matrix backends), run the chosen algorithm up to the
+/// factored Schur complement, and detach the factors from the problem.
+fn factor<T: Scalar>(
+    problem: &CoupledProblem<T>,
+    algo: Algorithm,
+    cfg: &SolverConfig,
+    tracker: &Arc<MemTracker>,
+    timer: &PhaseTimer,
+) -> Result<(SessionFactors<T>, FactorRun)> {
     let tree = ClusterTree::build(&problem.bem.points, cfg.hmat_leaf);
-    let perm = tree.perm.clone();
     let all_v: Vec<usize> = (0..problem.n_fem()).collect();
     let ws = Ws {
         a_vv: &problem.a_vv,
-        a_sv: problem.a_sv.submatrix(&perm, &all_v),
-        a_vs: problem.a_vs.submatrix(&all_v, &perm),
-        bem: problem.bem.permuted(&perm),
-        b_v: &problem.b_v,
-        b_s: perm.iter().map(|&o| problem.b_s[o]).collect(),
+        a_sv: problem.a_sv.submatrix(&tree.perm, &all_v),
+        a_vs: problem.a_vs.submatrix(&all_v, &tree.perm),
+        bem: problem.bem.permuted(&tree.perm),
         tree,
         symmetric: problem.symmetric,
         blr: Mutex::new(SparseCompressionSummary::default()),
@@ -382,70 +454,56 @@ pub(crate) fn factorize_session<T: Scalar>(
 
     let (state, schur_bytes, autotune) = match algo {
         Algorithm::BaselineCoupling => {
-            let (fact, sf, sb) = baseline_factors(&ws, cfg, tracker, &timer)?;
+            let (fact, sf, sb) = baseline_factors(&ws, cfg, tracker, timer)?;
             (FactorState::Direct { fact, sf }, sb, None)
         }
         Algorithm::AdvancedCoupling => {
-            let (fact_w, sf, sb) = advanced_factors(&ws, cfg, tracker, &timer)?;
+            let (fact_w, sf, sb) = advanced_factors(&ws, cfg, tracker, timer)?;
             (FactorState::Condensed { fact_w, sf }, sb, None)
         }
         Algorithm::MultiSolve => {
-            let (fact, sf, sb, d) = multi_solve_factors(&ws, cfg, tracker, &timer)?;
+            let (fact, sf, sb, d) = multi_solve_factors(&ws, cfg, tracker, timer)?;
             (FactorState::Direct { fact, sf }, sb, d)
         }
         Algorithm::MultiFactorization => {
-            let (fact, sf, sb, d) = multi_factorization_factors(&ws, cfg, tracker, &timer)?;
+            let (fact, sf, sb, d) = multi_factorization_factors(&ws, cfg, tracker, timer)?;
             (FactorState::Direct { fact, sf }, sb, d)
         }
     };
 
-    let rt = cfg.tracer.run();
-    mem_sample(rt, tracker);
-    counting.finish(rt);
+    // The summary is reported whenever compression was *on*, even if no
+    // panel met the size gate (all-zero counts are informative too).
     let sparse_compression = cfg.effective_sparse_eps().map(|eps| {
         let mut s = ws.blr.lock().unwrap_or_else(|e| e.into_inner()).clone();
         s.eps = eps;
         s
     });
-    let metrics = Metrics {
-        phases: timer
-            .phases()
-            .into_iter()
-            .map(|(n, d)| (n, d.as_secs_f64()))
-            .collect(),
-        total_seconds: sw.elapsed_secs(),
-        peak_bytes: tracker.peak(),
-        schur_bytes,
-        phase_bytes: timer.bytes(),
-        phase_flops: timer.flops(),
-        threads: rayon::current_num_threads(),
-        n_total: problem.n_total(),
-        n_bem: problem.n_bem(),
-        n_fem: problem.n_fem(),
-        autotune,
-        sparse_compression,
-    };
     let (nv, ns) = (ws.nv(), ws.ns());
     let Ws {
         a_sv, a_vs, tree, ..
     } = ws;
-    Ok(SessionFactors {
-        state,
-        tree,
-        a_sv,
-        a_vs,
-        nv,
-        ns,
-        metrics,
-    })
+    Ok((
+        SessionFactors {
+            state,
+            tree,
+            a_sv,
+            a_vs,
+            nv,
+            ns,
+        },
+        FactorRun {
+            schur_bytes,
+            autotune,
+            sparse_compression,
+        },
+    ))
 }
 
-/// Panel-width generalization of [`finish_solution`], operating on owned
-/// slices instead of the `Ws` workspace: `b_v` (`nv × w`) and `b_s_p`
-/// (`ns × w`, cluster order), both column-major. The factor traversals run
-/// on the full panel (`solve_in_place` is multi-RHS); the sparse coupling
-/// products run per column through the same `matvec` calls as the one-RHS
-/// path. The returned surface panel stays in cluster order.
+/// The solution phase with `A_vv` and `S` factored (paper equations (7)),
+/// on a `w`-column panel: `b_v` (`nv × w`) and `b_s_p` (`ns × w`, cluster
+/// order), both column-major. The factor traversals run on the full panel
+/// (`solve_in_place` is multi-RHS); the sparse coupling products run per
+/// column. The returned surface panel stays in cluster order.
 #[allow(clippy::too_many_arguments)]
 fn finish_solution_panel<T: Scalar>(
     b_v: &[T],
@@ -466,17 +524,17 @@ fn finish_solution_panel<T: Scalar>(
     rt.time(SpanKind::SparseSolve, || {
         timer.time("sparse solve (rhs)", || fact.solve_in_place(&mut t))
     })?;
-    // RHS_s = B_s − A_sv T (per column: same matvec as the one-RHS path).
+    // RHS_s = B_s − A_sv T
     let mut xs = Mat::from_col_major(ns, w, b_s_p.to_vec());
     for j in 0..w {
-        let mut rhs_s = xs.col(j).to_vec();
-        a_sv.matvec(-T::ONE, t.col(j), T::ONE, &mut rhs_s);
-        xs.col_mut(j).copy_from_slice(&rhs_s);
+        a_sv.matvec(-T::ONE, t.col(j), T::ONE, xs.col_mut(j));
     }
     // X_s = S⁻¹ RHS_s
     rt.time(SpanKind::DenseSolve, || {
         timer.time("dense solve", || sf.solve_in_place(xs.as_mut()))
     });
+    // Two triangular solves per column on the n_s × n_s factor (backends
+    // without a closed-form count report 0 and add no entry).
     let solve_flops = sf.solve_flops(w);
     if solve_flops > 0 {
         timer.add_flops("dense solve", solve_flops);
@@ -484,163 +542,18 @@ fn finish_solution_panel<T: Scalar>(
     // X_v = A_vv⁻¹ (B_v − A_vs X_s)
     let mut bv2 = Mat::from_col_major(nv, w, b_v.to_vec());
     for j in 0..w {
-        let x = xs.col(j).to_vec();
-        let mut tmp = bv2.col_mut(j).to_vec();
-        a_vs.matvec(-T::ONE, &x, T::ONE, &mut tmp);
-        bv2.col_mut(j).copy_from_slice(&tmp);
+        a_vs.matvec(-T::ONE, xs.col(j), T::ONE, bv2.col_mut(j));
     }
     rt.time(SpanKind::SparseSolve, || {
         timer.time("sparse solve (back)", || fact.solve_in_place(&mut bv2))
     })?;
-    let mut xv = Vec::with_capacity(nv * w);
-    let mut xsv = Vec::with_capacity(ns * w);
-    for j in 0..w {
-        xv.extend_from_slice(bv2.col(j));
-        xsv.extend_from_slice(xs.col(j));
-    }
-    Ok((xv, xsv))
-}
-
-fn solve_inner<T: Scalar>(
-    problem: &CoupledProblem<T>,
-    algo: Algorithm,
-    cfg: &SolverConfig,
-    threads: usize,
-) -> Result<Outcome<T>> {
-    let tracker = match cfg.mem_budget {
-        Some(b) => MemTracker::with_budget(b),
-        None => MemTracker::unbounded(),
-    };
-    let timer = PhaseTimer::new();
-    let sw = Stopwatch::start();
-    let counting = KernelCounting::start(&cfg.tracer);
-
-    // Surface unknowns go to cluster order once; every blockwise Schur range
-    // is then contiguous for both dense and H-matrix backends.
-    let tree = ClusterTree::build(&problem.bem.points, cfg.hmat_leaf);
-    let perm = tree.perm.clone();
-    let all_v: Vec<usize> = (0..problem.n_fem()).collect();
-    let ws = Ws {
-        a_vv: &problem.a_vv,
-        a_sv: problem.a_sv.submatrix(&perm, &all_v),
-        a_vs: problem.a_vs.submatrix(&all_v, &perm),
-        bem: problem.bem.permuted(&perm),
-        b_v: &problem.b_v,
-        b_s: perm.iter().map(|&o| problem.b_s[o]).collect(),
-        tree,
-        symmetric: problem.symmetric,
-        blr: Mutex::new(SparseCompressionSummary::default()),
-    };
-
-    let (xv, xs_p, schur_bytes, autotune) = match algo {
-        Algorithm::BaselineCoupling => {
-            let (xv, xs_p, sb) = baseline_coupling(&ws, cfg, &tracker, &timer)?;
-            (xv, xs_p, sb, None)
-        }
-        Algorithm::AdvancedCoupling => {
-            let (xv, xs_p, sb) = advanced_coupling(&ws, cfg, &tracker, &timer)?;
-            (xv, xs_p, sb, None)
-        }
-        Algorithm::MultiSolve => multi_solve(&ws, cfg, &tracker, &timer)?,
-        Algorithm::MultiFactorization => multi_factorization(&ws, cfg, &tracker, &timer)?,
-    };
-
-    let rt = cfg.tracer.run();
-    mem_sample(rt, &tracker);
-    counting.finish(rt);
-
-    let xs = ws.tree.to_original_order(&xs_p);
-    // The summary is reported whenever compression was *on*, even if no
-    // panel met the size gate (all-zero counts are informative too).
-    let sparse_compression = cfg.effective_sparse_eps().map(|eps| {
-        let mut s = ws.blr.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        s.eps = eps;
-        s
-    });
-    let metrics = Metrics {
-        phases: timer
-            .phases()
-            .into_iter()
-            .map(|(n, d)| (n, d.as_secs_f64()))
-            .collect(),
-        total_seconds: sw.elapsed_secs(),
-        peak_bytes: tracker.peak(),
-        schur_bytes,
-        phase_bytes: timer.bytes(),
-        phase_flops: timer.flops(),
-        threads,
-        n_total: problem.n_total(),
-        n_bem: problem.n_bem(),
-        n_fem: problem.n_fem(),
-        autotune,
-        sparse_compression,
-    };
-    Ok(Outcome { xv, xs, metrics })
-}
-
-/// Shared epilogue: with `A_vv` factored and `S` factored, compute both
-/// solution parts (paper equations (7)).
-fn finish_solution<T: Scalar>(
-    ws: &Ws<'_, T>,
-    fact: &SparseFactorization<T>,
-    sf: &SchurFactor<T>,
-    cfg: &SolverConfig,
-    timer: &PhaseTimer,
-) -> Result<(Vec<T>, Vec<T>)> {
-    let nv = ws.nv();
-    let ns = ws.ns();
-    let rt = cfg.tracer.run();
-    // t = A_vv⁻¹ b_v
-    let mut t = Mat::from_col_major(nv, 1, ws.b_v.to_vec());
-    rt.time(SpanKind::SparseSolve, || {
-        timer.time("sparse solve (rhs)", || fact.solve_in_place(&mut t))
-    })?;
-    // rhs_s = b_s − A_sv t
-    let mut rhs_s = ws.b_s.clone();
-    ws.a_sv.matvec(-T::ONE, t.col(0), T::ONE, &mut rhs_s);
-    // x_s = S⁻¹ rhs_s
-    let mut xs = Mat::from_col_major(ns, 1, rhs_s);
-    rt.time(SpanKind::DenseSolve, || {
-        timer.time("dense solve", || sf.solve_in_place(xs.as_mut()))
-    });
-    // Two triangular solves on the n_s × n_s factor (backends without a
-    // closed-form count report 0 and add no entry).
-    let solve_flops = sf.solve_flops(1);
-    if solve_flops > 0 {
-        timer.add_flops("dense solve", solve_flops);
-    }
-    // x_v = A_vv⁻¹ (b_v − A_vs x_s)
-    let mut bv2 = Mat::from_col_major(nv, 1, ws.b_v.to_vec());
-    {
-        let x = xs.col(0).to_vec();
-        let mut tmp = bv2.col_mut(0).to_vec();
-        ws.a_vs.matvec(-T::ONE, &x, T::ONE, &mut tmp);
-        bv2.col_mut(0).copy_from_slice(&tmp);
-    }
-    rt.time(SpanKind::SparseSolve, || {
-        timer.time("sparse solve (back)", || fact.solve_in_place(&mut bv2))
-    })?;
-    Ok((bv2.col(0).to_vec(), xs.col(0).to_vec()))
+    Ok((bv2.data().to_vec(), xs.data().to_vec()))
 }
 
 /// §II-E — one sparse solve against all of `A_vs` at once. The dense result
 /// `Y` (`n_v × n_s`) is the memory bottleneck the paper quantifies at
-/// 2.6 TiB for the industrial case.
-fn baseline_coupling<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<(Vec<T>, Vec<T>, usize)> {
-    let (fact, sf, schur_bytes) = baseline_factors(ws, cfg, tracker, timer)?;
-    let (xv, xs) = finish_solution(ws, &fact, &sf, cfg, timer)?;
-    Ok((xv, xs, schur_bytes))
-}
-
-/// Factorization phase of [`baseline_coupling`]: everything up to (and
-/// including) the Schur factorization, with the solution phase left to the
-/// caller — `solve` runs it once, the session layer keeps the factors and
-/// runs it per request panel.
+/// 2.6 TiB for the industrial case. Everything up to (and including) the
+/// Schur factorization; the solution phase is [`finish_solution_panel`].
 fn baseline_factors<T: Scalar>(
     ws: &Ws<'_, T>,
     cfg: &SolverConfig,
@@ -729,20 +642,10 @@ fn factor_schur_traced<T: Scalar>(
 
 /// §II-F — a single factorization+Schur call on the stacked coupled matrix;
 /// the full Schur complement is returned as one dense `n_s × n_s` matrix.
-fn advanced_coupling<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<(Vec<T>, Vec<T>, usize)> {
-    let (fact_w, sf, schur_bytes) = advanced_factors(ws, cfg, tracker, timer)?;
-    let (xv, xs) = condensed_solution(ws.b_v, &ws.b_s, &fact_w, &sf, ws.nv(), ws.ns(), cfg, timer)?;
-    Ok((xv, xs, schur_bytes))
-}
-
-/// Factorization phase of [`advanced_coupling`]: the stacked-`W` partial
-/// factorization plus the factored Schur complement, both reusable across
-/// solves ([`SparseFactorization::condense_and_solve`] takes `&self`).
+/// The stacked-`W` partial factorization and the factored Schur complement
+/// are both reusable across solves
+/// ([`SparseFactorization::condense_and_solve`] takes `&self`); the
+/// solution phase is [`condensed_solution`].
 fn advanced_factors<T: Scalar>(
     ws: &Ws<'_, T>,
     cfg: &SolverConfig,
@@ -755,13 +658,7 @@ fn advanced_factors<T: Scalar>(
     // W = [A_vv A_vs; A_sv 0]
     let w = {
         let mut sp = rt.span(SpanKind::AssembleW);
-        let w = timer.time("assemble W", || {
-            let mut coo = Coo::with_capacity(n, n, ws.a_vv.nnz() + ws.a_vs.nnz() + ws.a_sv.nnz());
-            push_csc(&mut coo, ws.a_vv, 0, 0);
-            push_csc(&mut coo, &ws.a_vs, 0, nv);
-            push_csc(&mut coo, &ws.a_sv, nv, 0);
-            coo.to_csc()
-        });
+        let w = timer.time("assemble W", || stacked_w(ws.a_vv, &ws.a_vs, &ws.a_sv, ns));
         sp.add_bytes(w.byte_size());
         w
     };
@@ -849,19 +746,6 @@ fn condensed_solution<T: Scalar>(
 /// solve), computed on whichever worker is free, and committed into `S` in
 /// panel order — the same fold order as the sequential loop, hence the same
 /// bits in the compressed accumulator.
-fn multi_solve<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<BlockwiseOut<T>> {
-    let (fact, sf, schur_bytes, decision) = multi_solve_factors(ws, cfg, tracker, timer)?;
-    let (xv, xs) = finish_solution(ws, &fact, &sf, cfg, timer)?;
-    Ok((xv, xs, schur_bytes, decision))
-}
-
-/// Factorization phase of [`multi_solve`] (the blockwise Schur pipeline up
-/// to the factored `S`), reusable by the session layer.
 fn multi_solve_factors<T: Scalar>(
     ws: &Ws<'_, T>,
     cfg: &SolverConfig,
@@ -1053,20 +937,9 @@ fn multi_solve_factors<T: Scalar>(
 /// reservation, waits for concurrent tiles to free memory, and retries —
 /// propagating the error only when no concurrent work is left to wait for
 /// (i.e. when the sequential algorithm would have failed too).
-fn multi_factorization<T: Scalar>(
-    ws: &Ws<'_, T>,
-    cfg: &SolverConfig,
-    tracker: &Arc<MemTracker>,
-    timer: &PhaseTimer,
-) -> Result<BlockwiseOut<T>> {
-    let (fact, sf, schur_bytes, decision) = multi_factorization_factors(ws, cfg, tracker, timer)?;
-    let (xv, xs) = finish_solution(ws, &fact, &sf, cfg, timer)?;
-    Ok((xv, xs, schur_bytes, decision))
-}
-
-/// Factorization phase of [`multi_factorization`]: the tile pipeline, the
-/// Schur factorization, and the final plain factorization of `A_vv` that
-/// the solution phase (and the session layer) consumes — the per-tile `W`
+///
+/// After the tile pipeline and the Schur factorization comes a final plain
+/// factorization of `A_vv` for the solution phase — the per-tile `W`
 /// factorizations are not reusable through the solver API.
 fn multi_factorization_factors<T: Scalar>(
     ws: &Ws<'_, T>,
@@ -1126,13 +999,8 @@ fn multi_factorization_factors<T: Scalar>(
     let all_v: Vec<usize> = (0..nv).collect();
 
     let w_opts = SparseOptions {
-        ordering: cfg.ordering,
         symmetry: Symmetry::UnsymmetricLu,
-        blr_eps: cfg.effective_sparse_eps(),
-        tracker: Some(Arc::clone(tracker)),
-        panel_nb: cfg.dense_panel_nb,
-        tracer: cfg.tracer.clone(),
-        trace_seq: None,
+        ..ws.sparse_opts(cfg, tracker)
     };
 
     let tiles: Vec<(usize, std::ops::Range<usize>, std::ops::Range<usize>)> = ranges
@@ -1191,13 +1059,7 @@ fn multi_factorization_factors<T: Scalar>(
             // Stacked square W (padded when the edge blocks differ in size).
             let w = {
                 let mut sp = bt.span(SpanKind::AssembleW);
-                let w = timer.time("assemble W", || {
-                    let mut coo = Coo::with_capacity(nv + m, nv + m, nnz);
-                    push_csc(&mut coo, ws.a_vv, 0, 0);
-                    push_csc(&mut coo, &a_vs_j, 0, nv);
-                    push_csc(&mut coo, &a_sv_i, nv, 0);
-                    coo.to_csc()
-                });
+                let w = timer.time("assemble W", || stacked_w(ws.a_vv, &a_vs_j, &a_sv_i, m));
                 sp.add_bytes(w.byte_size());
                 w
             };
@@ -1323,12 +1185,7 @@ fn tile_internal_bytes<T: Scalar>(ws: &Ws<'_, T>, cfg: &SolverConfig, n_b: usize
     let all_v: Vec<usize> = (0..nv).collect();
     let a_sv_0 = ws.a_sv.submatrix(&rows, &all_v);
     let a_vs_0 = ws.a_vs.submatrix(&all_v, &rows);
-    let nnz = ws.a_vv.nnz() + a_sv_0.nnz() + a_vs_0.nnz();
-    let mut coo = Coo::with_capacity(nv + m, nv + m, nnz);
-    push_csc(&mut coo, ws.a_vv, 0, 0);
-    push_csc(&mut coo, &a_vs_0, 0, nv);
-    push_csc(&mut coo, &a_sv_0, nv, 0);
-    let w = coo.to_csc();
+    let w = stacked_w(ws.a_vv, &a_vs_0, &a_sv_0, m);
     let schur_vars: Vec<usize> = (nv..nv + m).collect();
     let sym = SymbolicFactorization::analyze(&w, &schur_vars, cfg.ordering)?;
     // W is factored in the unsymmetric (LU) mode regardless of the coupled
@@ -1352,17 +1209,22 @@ fn fail<S>(sched: &BudgetScheduler, commit: &OrderedCommit<S>, e: &Error) {
     commit.abort(e);
 }
 
-/// Append a CSC block into a COO builder at offset (r0, c0).
-fn push_csc<T: Scalar>(coo: &mut Coo<T>, a: &Csc<T>, r0: usize, c0: usize) {
-    for j in 0..a.ncols {
-        for p in a.colptr[j]..a.colptr[j + 1] {
-            coo.push(r0 + a.rowidx[p], c0 + j, a.values[p]);
+/// The stacked coupled matrix `W = [A_vv A_vs|_j ; A_sv|_i 0]` of order
+/// `nv + m`, where `A_vs|_j` has at most `m` columns and `A_sv|_i` at most
+/// `m` rows (zero-padded when the edge blocks of a tile differ in size).
+fn stacked_w<T: Scalar>(a_vv: &Csc<T>, a_vs_j: &Csc<T>, a_sv_i: &Csc<T>, m: usize) -> Csc<T> {
+    let n = a_vv.nrows + m;
+    let mut coo = Coo::with_capacity(n, n, a_vv.nnz() + a_vs_j.nnz() + a_sv_i.nnz());
+    for (a, r0, c0) in [
+        (a_vv, 0, 0),
+        (a_vs_j, 0, a_vv.nrows),
+        (a_sv_i, a_vv.nrows, 0),
+    ] {
+        for j in 0..a.ncols {
+            for p in a.colptr[j]..a.colptr[j + 1] {
+                coo.push(r0 + a.rowidx[p], c0 + j, a.values[p]);
+            }
         }
     }
-}
-
-/// Convenience: the view of a column range of a dense matrix.
-#[allow(dead_code)]
-fn cols_view<T: Scalar>(m: &Mat<T>, r: std::ops::Range<usize>) -> MatRef<'_, T> {
-    m.view(0..m.nrows(), r)
+    coo.to_csc()
 }

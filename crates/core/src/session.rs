@@ -581,7 +581,7 @@ impl<T: Scalar> SolverSession<T> {
         summary: StructSummary,
         clock: u64,
     ) -> Result<Arc<SessionFactors<T>>> {
-        let factors = loop {
+        let (factors, metrics) = loop {
             let (algo, cfg, tracker) = (self.algo, &self.cfg, &self.tracker);
             match self
                 .pool
@@ -606,7 +606,7 @@ impl<T: Scalar> SolverSession<T> {
                 Err(e) => return Err(e),
             }
         };
-        self.last_metrics = Some(factors.metrics.clone());
+        self.last_metrics = Some(metrics);
         let factors = Arc::new(factors);
         self.cache.push(CacheEntry {
             key,

@@ -21,25 +21,25 @@ fn main() {
             "multi-solve,  no compression",
             Algorithm::MultiSolve,
             DenseBackend::Spido,
-            false,
+            Some(0.0),
         ),
         (
             "multi-solve,  full compression",
             Algorithm::MultiSolve,
             DenseBackend::Hmat,
-            true,
+            None,
         ),
         (
             "multi-facto,  no compression",
             Algorithm::MultiFactorization,
             DenseBackend::Spido,
-            false,
+            Some(0.0),
         ),
         (
             "multi-facto,  full compression",
             Algorithm::MultiFactorization,
             DenseBackend::Hmat,
-            true,
+            None,
         ),
     ];
 
@@ -47,11 +47,11 @@ fn main() {
         "{:<32} {:>9} {:>12} {:>12} {:>12}",
         "configuration", "time (s)", "peak (MiB)", "Schur (MiB)", "rel. error"
     );
-    for (label, algo, backend, compress) in runs {
+    for (label, algo, backend, sparse_eps) in runs {
         let cfg = SolverConfig {
             eps: 1e-4, // the industrial accuracy of the paper
             dense_backend: backend,
-            sparse_compression: compress,
+            sparse_eps,
             n_b: 3,
             ..Default::default()
         };

@@ -340,38 +340,52 @@ fn autotuned_blocking_under_memory_budgets() {
 ///   bitwise-identical at every thread count, and the per-run compression
 ///   summary (panel counts, stored bytes, max rank) is identical too;
 /// * **off means off** — `sparse_eps = 0.0` reproduces the uncompressed
-///   run bitwise, even with the legacy `sparse_compression` switch set;
+///   run bitwise even under a dense `eps` loose enough that the `None`
+///   default would compress the fronts at it (SPIDO ignores `eps`, so the
+///   sparse fronts are its only consumer);
 /// * the compressed path genuinely ran: at the loosest tolerance at least
 ///   one panel compressed.
 #[test]
 fn sparse_eps_contract() {
     let p = csolve::pipe_problem::<f64>(1_500);
     let reference = oracle_solve(&p).unwrap();
-    let cfg = |algo: Algorithm, sparse_eps: Option<f64>, threads: usize| {
-        let _ = algo;
-        SolverConfig {
-            sparse_eps,
-            // The legacy switch stays on to prove explicit sparse_eps wins.
-            sparse_compression: true,
-            ..config(DenseBackend::Spido, threads)
-        }
-    };
-    let uncompressed = |threads: usize| SolverConfig {
-        sparse_compression: false,
+    let cfg = |sparse_eps: Option<f64>, threads: usize| SolverConfig {
+        sparse_eps,
         ..config(DenseBackend::Spido, threads)
     };
 
     for algo in [Algorithm::MultiSolve, Algorithm::MultiFactorization] {
         let name = algo.name();
-        // Uncompressed baseline, and the eps = 0 "forced off" run.
-        let base = solve(&p, algo, &uncompressed(1))
+        // Uncompressed baseline, and the same sparse_eps = 0 run under a
+        // dense eps at which the `None` default would compress the fronts.
+        let base = solve(&p, algo, &cfg(Some(0.0), 1))
             .unwrap_or_else(|e| panic!("{name}: uncompressed run failed: {e}"));
         assert!(
             base.metrics.sparse_compression.is_none(),
             "{name}: uncompressed run must not record a compression summary"
         );
-        let zero = solve(&p, algo, &cfg(algo, Some(0.0), 1))
-            .unwrap_or_else(|e| panic!("{name}: sparse_eps=0 run failed: {e}"));
+        let loose = SolverConfig {
+            eps: 1e-3,
+            ..cfg(None, 1)
+        };
+        let lossy =
+            solve(&p, algo, &loose).unwrap_or_else(|e| panic!("{name}: loose-eps run failed: {e}"));
+        assert!(
+            lossy
+                .metrics
+                .sparse_compression
+                .is_some_and(|s| s.eps == 1e-3 && s.panels_compressed > 0),
+            "{name}: the None default must compress the fronts at the dense eps"
+        );
+        let zero = solve(
+            &p,
+            algo,
+            &SolverConfig {
+                sparse_eps: Some(0.0),
+                ..loose
+            },
+        )
+        .unwrap_or_else(|e| panic!("{name}: sparse_eps=0 run failed: {e}"));
         assert!(
             zero.xv == base.xv && zero.xs == base.xs,
             "{name}: sparse_eps = 0.0 must reproduce the uncompressed run bitwise"
@@ -382,7 +396,7 @@ fn sparse_eps_contract() {
             let mut baseline: Option<csolve::Outcome<f64>> = None;
             for &threads in thread_counts() {
                 let cell = format!("{name} / sparse_eps={eps:.0e} / {threads} thr");
-                let out = solve(&p, algo, &cfg(algo, Some(eps), threads))
+                let out = solve(&p, algo, &cfg(Some(eps), threads))
                     .unwrap_or_else(|e| panic!("{cell}: solve failed: {e}"));
                 let err = rel_err_l2(&out.xv, &out.xs, &reference.xv, &reference.xs);
                 assert!(

@@ -8,22 +8,27 @@
 //! failure events (`budget_degrade`, `poisoned`) are excluded from the
 //! contract (and absent here: no budget is set).
 
+use std::sync::{Mutex, MutexGuard};
+
 use csolve::json::{parse_json, parse_jsonl};
 use csolve::{
-    pipe_problem, solve, to_jsonl, Algorithm, DenseBackend, RunReport, SolverConfig, SpanKind,
-    TracePayload, TraceRecord, TraceScope, Tracer, TRACE_FORMAT_VERSION,
+    pipe_problem, solve, to_jsonl, Algorithm, DenseBackend, RunReport, SessionBuilder,
+    SolverConfig, SpanKind, TraceEventKind, TracePayload, TraceRecord, TraceScope, Tracer,
+    TRACE_FORMAT_VERSION,
 };
 
 const N: usize = 1_500;
 
-fn traced_solve(
-    algo: Algorithm,
-    backend: DenseBackend,
-    threads: usize,
-) -> (csolve::Outcome<f64>, Vec<TraceRecord>) {
-    let p = pipe_problem::<f64>(N);
-    let tracer = Tracer::enabled();
-    let cfg = SolverConfig::builder()
+/// The dense kernel counters are process-global, so every test in this
+/// binary holds one lock while it solves: a concurrent solve would leak its
+/// kernel flops into another test's `kernel_counters` window.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn config(backend: DenseBackend, threads: usize, tracer: Tracer) -> SolverConfig {
+    SolverConfig::builder()
         .eps(1e-8)
         .dense_backend(backend)
         // Small panels/blocks so the pipelines genuinely run several
@@ -32,11 +37,35 @@ fn traced_solve(
         .n_s(96)
         .n_b(3)
         .num_threads(threads)
-        .tracer(tracer.clone())
+        .tracer(tracer)
         .build()
-        .expect("valid config");
+        .expect("valid config")
+}
+
+fn traced_solve(
+    algo: Algorithm,
+    backend: DenseBackend,
+    threads: usize,
+) -> (csolve::Outcome<f64>, Vec<TraceRecord>) {
+    let p = pipe_problem::<f64>(N);
+    let tracer = Tracer::enabled();
+    let cfg = config(backend, threads, tracer.clone());
     let out = solve(&p, algo, &cfg).expect("traced solve failed");
     (out, tracer.drain())
+}
+
+/// The flops of every `kernel_counters` event, in record order.
+fn kernel_flops(records: &[TraceRecord]) -> Vec<u64> {
+    records
+        .iter()
+        .filter_map(|r| match &r.payload {
+            TracePayload::Event {
+                kind: TraceEventKind::KernelCounters { flops, .. },
+                ..
+            } => Some(*flops),
+            _ => None,
+        })
+        .collect()
 }
 
 /// The contract signature: canonical order, pressure events stripped.
@@ -50,6 +79,7 @@ fn signature(records: &[TraceRecord]) -> Vec<(TraceScope, String)> {
 
 #[test]
 fn span_sequence_is_identical_across_thread_counts() {
+    let _serial = serial();
     for (algo, backend) in [
         (Algorithm::MultiSolve, DenseBackend::Hmat),
         (Algorithm::MultiFactorization, DenseBackend::Spido),
@@ -79,6 +109,7 @@ fn span_sequence_is_identical_across_thread_counts() {
 
 #[test]
 fn block_scopes_are_contiguous_and_start_with_task_ready() {
+    let _serial = serial();
     let (_, records) = traced_solve(Algorithm::MultiSolve, DenseBackend::Hmat, 4);
     let mut blocks: Vec<usize> = Vec::new();
     for r in &records {
@@ -113,6 +144,7 @@ fn block_scopes_are_contiguous_and_start_with_task_ready() {
 
 #[test]
 fn jsonl_trace_parses_back_with_header_and_schema() {
+    let _serial = serial();
     let (_, records) = traced_solve(Algorithm::MultiSolve, DenseBackend::Hmat, 2);
     let text = to_jsonl(&records);
     let docs = parse_jsonl(&text).expect("trace JSONL must parse");
@@ -182,6 +214,7 @@ fn jsonl_trace_parses_back_with_header_and_schema() {
 
 #[test]
 fn run_report_has_the_documented_shape() {
+    let _serial = serial();
     let (out, records) = traced_solve(Algorithm::MultiSolve, DenseBackend::Hmat, 2);
     let report = RunReport::from_parts(
         Algorithm::MultiSolve,
@@ -283,6 +316,7 @@ fn run_report_has_the_documented_shape() {
 
 #[test]
 fn disabled_tracer_records_nothing() {
+    let _serial = serial();
     let p = pipe_problem::<f64>(800);
     let tracer = Tracer::disabled();
     let cfg = SolverConfig::builder()
@@ -293,4 +327,56 @@ fn disabled_tracer_records_nothing() {
     solve(&p, Algorithm::MultiSolve, &cfg).unwrap();
     assert!(tracer.drain().is_empty());
     assert!(!tracer.is_enabled());
+}
+
+/// A traced one-shot `solve()` is the factorization plus the solution
+/// phase, with the run's epilogue after both: for every algorithm the run
+/// scope ends with the solution spans, then the `mem_high_water` sample,
+/// then `kernel_counters` — whose window covers the solution phase, so it
+/// counts more flops than a session's factorization-only window over the
+/// same system.
+#[test]
+fn one_shot_run_scope_ends_with_solution_then_epilogue() {
+    let _serial = serial();
+    let p = pipe_problem::<f64>(N);
+    for algo in Algorithm::ALL {
+        let name = algo.name();
+        let (_, records) = traced_solve(algo, DenseBackend::Spido, 2);
+        let run: Vec<&str> = records
+            .iter()
+            .filter(|r| r.scope == TraceScope::Run)
+            .map(|r| r.payload.kind_name())
+            .collect();
+        let solution: &[SpanKind] = match algo {
+            Algorithm::AdvancedCoupling => &[SpanKind::CoupledSolve],
+            _ => &[
+                SpanKind::SparseSolve,
+                SpanKind::DenseSolve,
+                SpanKind::SparseSolve,
+            ],
+        };
+        let mut tail: Vec<&str> = solution.iter().map(|k| k.name()).collect();
+        tail.extend(["mem_high_water", "kernel_counters"]);
+        assert!(
+            run.ends_with(&tail),
+            "{name}: run scope ends with {:?}, want {tail:?}",
+            &run[run.len().saturating_sub(tail.len())..]
+        );
+
+        let tracer = Tracer::enabled();
+        let mut session = SessionBuilder::new(config(DenseBackend::Spido, 2, tracer.clone()), algo)
+            .build::<f64>()
+            .expect("session");
+        session.solve(&p, &p.b_v, &p.b_s).expect("session solve");
+        let (one_shot, factor_only) = (kernel_flops(&records), kernel_flops(&tracer.drain()));
+        assert_eq!(one_shot.len(), 1, "{name}: one kernel_counters event");
+        assert_eq!(factor_only.len(), 1, "{name}: one kernel_counters event");
+        assert!(
+            one_shot[0] > factor_only[0],
+            "{name}: kernel_counters flops {} do not include the solution phase \
+             (factorization alone: {})",
+            one_shot[0],
+            factor_only[0]
+        );
+    }
 }
