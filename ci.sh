@@ -121,4 +121,10 @@ echo "==> repository benchmark builds and passes its smoke run"
 # exits non-zero when a result is wrong or a declared metric is missing.
 cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --smoke
 
+echo "==> repository benchmark self-tests"
+# The benchmark's own unit tests: every workload and the layer replay at
+# tiny sizes, metric names and units against BENCHMARK.json, a flipped
+# solution bit counted as a failure, and the statistics helpers.
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "CI OK"

@@ -910,7 +910,7 @@ fn multi_solve_factors<T: Scalar>(
         }
         drop(adm);
     };
-    dag.execute(threads.min(panels_r.len().max(1)), dag_compute, dag_commit);
+    dag.execute(threads, dag_compute, dag_commit);
 
     let schur = commit.into_result()?;
     let schur_bytes = schur.bytes();
@@ -1155,7 +1155,7 @@ fn multi_factorization_factors<T: Scalar>(
         }
         drop(adm);
     };
-    dag.execute(threads.min(tiles_r.len().max(1)), dag_compute, dag_commit);
+    dag.execute(threads, dag_compute, dag_commit);
 
     let schur = commit.into_result()?;
     let schur_bytes = schur.bytes();

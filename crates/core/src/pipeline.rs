@@ -533,6 +533,13 @@ impl TaskDag {
 
     /// Run the pipeline on up to `workers` workers.
     ///
+    /// The worker count is clamped to `min(workers, lookahead, steps)`: at
+    /// most `lookahead` nodes are ever runnable at once, so a further
+    /// worker could only park. A parked worker is not free under the
+    /// vendored runtime: it holds one of the `threads − 1` helper permits
+    /// for the whole run, and every `join` inside the running tasks would
+    /// then execute inline.
+    ///
     /// `compute(i)` produces block `i`'s payload (or `None` after recording
     /// its error with the scheduler/commit primitives — the DAG keeps
     /// draining, and downstream commits of missing payloads are skipped);
@@ -584,7 +591,7 @@ impl TaskDag {
             // One worker runs inline on this thread (the scope'd spawns may
             // all degrade to inline execution under permit pressure; any
             // single worker can drain the whole DAG alone).
-            for _ in 1..workers.max(1) {
+            for _ in 1..workers.min(self.lookahead).min(self.steps).max(1) {
                 s.spawn(|_| worker());
             }
             worker();
@@ -827,6 +834,57 @@ mod tests {
             );
         });
         assert_eq!(*committed.lock(), (0..6).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn task_dag_runs_no_more_workers_than_lookahead() {
+        // Lookahead 1 makes the pipeline a strict chain: at 2 threads the
+        // executor must run one worker, leaving the runtime's only helper
+        // permit to the joins inside the running task.
+        let running = AtomicUsize::new(0);
+        let high_water = AtomicUsize::new(0);
+        let helper_seen = std::sync::atomic::AtomicBool::new(false);
+        let task = |body: &dyn Fn()| {
+            let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+            high_water.fetch_max(now, Ordering::SeqCst);
+            body();
+            running.fetch_sub(1, Ordering::SeqCst);
+        };
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let dag = TaskDag::pipeline(4, 1);
+        pool.install(|| {
+            dag.execute(
+                2,
+                |i| {
+                    task(&|| {
+                        // Concurrently running tests may hold the permit
+                        // for a moment; retry before giving up.
+                        let here = std::thread::current().id();
+                        for _ in 0..200 {
+                            if helper_seen.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            let (_, there) = rayon::join(|| (), || std::thread::current().id());
+                            if there != here {
+                                helper_seen.store(true, Ordering::SeqCst);
+                            } else {
+                                std::thread::sleep(std::time::Duration::from_millis(1));
+                            }
+                        }
+                    });
+                    Some(i)
+                },
+                |_, _| task(&|| std::thread::sleep(std::time::Duration::from_millis(2))),
+            );
+        });
+        assert_eq!(high_water.load(Ordering::SeqCst), 1, "tasks overlapped");
+        assert!(
+            helper_seen.load(Ordering::SeqCst),
+            "a join inside compute never reached a helper thread"
+        );
     }
 
     #[test]

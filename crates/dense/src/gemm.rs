@@ -108,7 +108,8 @@ thread_local! {
 /// solutions that match the one-RHS path bit for bit — the packed kernel's
 /// FMA/slab accumulation order would not. The flag is thread-local: it
 /// cannot leak into concurrent solves on other threads, and the solve
-/// paths issue all their GEMMs from the calling thread.
+/// paths that fork (the sparse column-split solve) go through [`join`],
+/// which re-enters it on the helper thread.
 pub fn with_colwise_det<R>(f: impl FnOnce() -> R) -> R {
     COLWISE_DET.with(|s| {
         let prev = s.replace(true);
@@ -121,6 +122,24 @@ pub fn with_colwise_det<R>(f: impl FnOnce() -> R) -> R {
 /// True when GEMMs invoked from this thread must run column-wise.
 pub(crate) fn colwise_det_forced() -> bool {
     COLWISE_DET.with(Cell::get)
+}
+
+/// [`rayon::join`] for callers above the kernels: `b` may run on a helper
+/// thread, and there it re-enters the calling thread's kernel modes
+/// ([`with_colwise_det`]), which are thread-local and would otherwise be
+/// dropped. Under [`with_serial`] both closures run inline on this thread.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    if serial_forced() {
+        return (a(), b());
+    }
+    let colwise = colwise_det_forced();
+    rayon::join(a, move || if colwise { with_colwise_det(b) } else { b() })
 }
 
 /// Below this many flops the packed engine cannot amortize its pack/copy

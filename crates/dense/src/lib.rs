@@ -37,8 +37,8 @@ pub use factor::{
     partial_lu, partial_lu_nb, symmetrize_from_lower, LdltFactors, LuFactors, DEFAULT_PANEL_NB,
 };
 pub use gemm::{
-    gemm, gemm_into, gemm_naive, gemm_par_flop_threshold, matvec, with_colwise_det, with_serial,
-    Op, PAR_FLOP_THRESHOLD,
+    gemm, gemm_into, gemm_naive, gemm_par_flop_threshold, join, matvec, with_colwise_det,
+    with_serial, Op, PAR_FLOP_THRESHOLD,
 };
 pub use mat::{Mat, MatMut, MatRef};
 pub use solve::{

@@ -12,13 +12,21 @@
 //! and memory against a symmetric H-LDLᵀ but keeps the hierarchical solver
 //! applicable to the paper's complex non-symmetric industrial systems with a
 //! single code path (substitution documented in DESIGN.md).
+//!
+//! Independent updates run in parallel on blocks above the
+//! `hmatrix::FORK_MIN_DIMS` gate (`nrows + ncols` of the target block): the two
+//! off-diagonal solves of each recursion step, the two column halves of a
+//! hierarchical forward solve, the two row halves of a hierarchical
+//! right-solve, and the four target quadrants of [`h_gemm`]. Every block
+//! still receives its updates in the serial order, so the factors are
+//! bitwise-identical at any thread count.
 
 use csolve_common::{ByteSized, Error, Result, Scalar, ScopeTracer, SpanKind};
 use csolve_dense::{
     apply_row_swaps_fwd, lu_in_place, trsm_left, trsm_right, Diag, Mat, MatMut, Op, Tri,
 };
 
-use crate::hmatrix::{h_gemm, HKind, HMatrix};
+use crate::hmatrix::{fork_join, forks, h_gemm, HKind, HMatrix};
 
 /// A factored H-matrix (`H ≈ L·U` with leaf-local pivoting).
 pub struct HLu<T: Scalar> {
@@ -83,11 +91,19 @@ fn h_lu_rec<T: Scalar>(h: &mut HMatrix<T>, eps: T::Real) -> Result<()> {
             "cannot LU-factor a low-rank diagonal block (singular by construction)".into(),
         )),
         HKind::DenseLu(_) => Err(Error::InvalidConfig("block already factored".into())),
-        HKind::Hier(ch) => {
+        HKind::Hier(_) => {
+            let fork = forks(h);
+            let HKind::Hier(ch) = &mut h.kind else {
+                unreachable!()
+            };
             let [a11, a21, a12, a22] = &mut **ch;
             h_lu_rec(a11, eps)?;
-            solve_lower_h(a11, a12, eps);
-            solve_upper_right_h(a11, a21, eps);
+            let a11 = &*a11;
+            fork_join(
+                fork,
+                || solve_lower_h(a11, a12, eps),
+                || solve_upper_right_h(a11, a21, eps),
+            );
             h_gemm(-T::ONE, a21, a12, a22, eps);
             h_lu_rec(a22, eps)
         }
@@ -125,15 +141,20 @@ fn solve_lower_h<T: Scalar>(l: &HMatrix<T>, b: &mut HMatrix<T>, eps: T::Real) {
         (HKind::Hier(_), HKind::LowRank(lr)) => {
             solve_lower_dense(l, lr.u.as_mut());
         }
-        (HKind::Hier(lc), HKind::Hier(bc)) => {
+        (HKind::Hier(lc), HKind::Hier(_)) => {
+            // The two column halves of `b` are independent.
+            let fork = forks(b);
+            let HKind::Hier(bc) = &mut b.kind else {
+                unreachable!()
+            };
             let [l11, l21, _l12, l22] = &**lc;
             let [b11, b21, b12, b22] = &mut **bc;
-            solve_lower_h(l11, b11, eps);
-            solve_lower_h(l11, b12, eps);
-            h_gemm(-T::ONE, l21, b11, b21, eps);
-            solve_lower_h(l22, b21, eps);
-            h_gemm(-T::ONE, l21, b12, b22, eps);
-            solve_lower_h(l22, b22, eps);
+            let half = |top: &mut HMatrix<T>, bot: &mut HMatrix<T>| {
+                solve_lower_h(l11, top, eps);
+                h_gemm(-T::ONE, l21, top, bot, eps);
+                solve_lower_h(l22, bot, eps);
+            };
+            fork_join(fork, || half(b11, b21), || half(b12, b22));
         }
         _ => panic!("solve_lower_h: invalid operand kinds"),
     }
@@ -169,15 +190,20 @@ fn solve_upper_right_h<T: Scalar>(u: &HMatrix<T>, b: &mut HMatrix<T>, eps: T::Re
         (HKind::Hier(_), HKind::LowRank(lr)) => {
             solve_upper_t_dense(u, lr.v.as_mut());
         }
-        (HKind::Hier(uc), HKind::Hier(bc)) => {
+        (HKind::Hier(uc), HKind::Hier(_)) => {
+            // The two row halves of `b` are independent.
+            let fork = forks(b);
+            let HKind::Hier(bc) = &mut b.kind else {
+                unreachable!()
+            };
             let [u11, _u21, u12, u22] = &**uc;
             let [b11, b21, b12, b22] = &mut **bc;
-            solve_upper_right_h(u11, b11, eps);
-            solve_upper_right_h(u11, b21, eps);
-            h_gemm(-T::ONE, b11, u12, b12, eps);
-            solve_upper_right_h(u22, b12, eps);
-            h_gemm(-T::ONE, b21, u12, b22, eps);
-            solve_upper_right_h(u22, b22, eps);
+            let half = |left: &mut HMatrix<T>, right: &mut HMatrix<T>| {
+                solve_upper_right_h(u11, left, eps);
+                h_gemm(-T::ONE, left, u12, right, eps);
+                solve_upper_right_h(u22, right, eps);
+            };
+            fork_join(fork, || half(b11, b12), || half(b21, b22));
         }
         _ => panic!("solve_upper_right_h: invalid operand kinds"),
     }

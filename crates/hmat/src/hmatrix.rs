@@ -771,6 +771,36 @@ pub(crate) fn scale_panel<T: Scalar>(beta: T, mut c: MatMut<'_, T>) {
     }
 }
 
+/// Smallest `nrows + ncols` of a target block whose independent H-LU
+/// updates ([`h_gemm`]'s four quadrants, the off-diagonal solve pair and
+/// the hierarchical solve halves of the H-LU recursion) fork onto a second
+/// thread. Measured on 2 cores against
+/// 128, 512 and 1024: below it a helper thread's spawn costs more than the
+/// updates it takes over, above it independent work is left serial.
+pub(crate) const FORK_MIN_DIMS: usize = 256;
+
+/// True when updates of target block `h` fork (see [`FORK_MIN_DIMS`]).
+pub(crate) fn forks<T: Scalar>(h: &HMatrix<T>) -> bool {
+    h.nrows + h.ncols >= FORK_MIN_DIMS
+}
+
+/// Run `a` and `b` — updates of disjoint targets — through
+/// [`csolve_dense::join`] when `fork` is set, in order on this thread
+/// otherwise. Each target sees the same update sequence either way, so the
+/// bits do not depend on the thread count.
+pub(crate) fn fork_join<A, B>(fork: bool, a: A, b: B)
+where
+    A: FnOnce() + Send,
+    B: FnOnce() + Send,
+{
+    if fork {
+        csolve_dense::join(a, b);
+    } else {
+        a();
+        b();
+    }
+}
+
 /// `C ← C + α·A·B` on hierarchical operands, with recompression at relative
 /// tolerance `eps`. All three must come from the same pair of cluster trees
 /// (aligned splits).
@@ -827,18 +857,39 @@ pub fn h_gemm<T: Scalar>(
                 let HKind::Hier(cb) = &b.kind else {
                     unreachable!()
                 };
+                // c11 += a11·b11 + a12·b21, etc. (children order [11,21,12,22]).
+                // The four targets are independent; each keeps its two
+                // products in order.
+                let fork = forks(c);
                 let HKind::Hier(cc) = &mut c.kind else {
                     unreachable!()
                 };
-                // c11 += a11·b11 + a12·b21, etc. (children order [11,21,12,22])
-                h_gemm(alpha, &ca[0], &cb[0], &mut cc[0], eps);
-                h_gemm(alpha, &ca[2], &cb[1], &mut cc[0], eps);
-                h_gemm(alpha, &ca[1], &cb[0], &mut cc[1], eps);
-                h_gemm(alpha, &ca[3], &cb[1], &mut cc[1], eps);
-                h_gemm(alpha, &ca[0], &cb[2], &mut cc[2], eps);
-                h_gemm(alpha, &ca[2], &cb[3], &mut cc[2], eps);
-                h_gemm(alpha, &ca[1], &cb[2], &mut cc[3], eps);
-                h_gemm(alpha, &ca[3], &cb[3], &mut cc[3], eps);
+                let [c11, c21, c12, c22] = &mut **cc;
+                let quad = |ai1: &HMatrix<T>,
+                            ai2: &HMatrix<T>,
+                            b1j: &HMatrix<T>,
+                            b2j: &HMatrix<T>,
+                            cij: &mut HMatrix<T>| {
+                    h_gemm(alpha, ai1, b1j, cij, eps);
+                    h_gemm(alpha, ai2, b2j, cij, eps);
+                };
+                fork_join(
+                    fork,
+                    || {
+                        fork_join(
+                            fork,
+                            || quad(&ca[0], &ca[2], &cb[0], &cb[1], c11),
+                            || quad(&ca[1], &ca[3], &cb[0], &cb[1], c21),
+                        )
+                    },
+                    || {
+                        fork_join(
+                            fork,
+                            || quad(&ca[0], &ca[2], &cb[2], &cb[3], c12),
+                            || quad(&ca[1], &ca[3], &cb[2], &cb[3], c22),
+                        )
+                    },
+                );
             }
             _ => {
                 // c is a (low-rank) leaf spanning the split: form the product

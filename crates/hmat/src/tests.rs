@@ -10,7 +10,9 @@ use rand::SeedableRng;
 use crate::cluster::ClusterTree;
 use crate::factor::HLu;
 use crate::geometry::Point3;
-use crate::hmatrix::{h_gemm, h_mul_to_lowrank, AssembleMethod, HMatrix, HOptions};
+use crate::hmatrix::{
+    forks, h_gemm, h_mul_to_lowrank, AssembleMethod, HKind, HMatrix, HOptions, FORK_MIN_DIMS,
+};
 
 /// Points on a square surface patch — a stand-in for a BEM surface mesh.
 fn surface_points(n_side: usize) -> Vec<Point3> {
@@ -282,6 +284,66 @@ fn hlu_compressed_factor_still_accurate_at_loose_eps() {
     let err = rel_err(&x, &x_exact);
     assert!(err < 1e-3, "solve err {err:.3e}");
     assert!(st_before.bytes < st_before.dense_bytes);
+}
+
+/// Above the fork gate H-LU runs its independent updates in parallel: the
+/// factors, hence the solution, must carry the same bits at any thread
+/// count. The matrix is built so that the root, its off-diagonal blocks and
+/// the trailing block all cross the gate (asserted), so every fork point —
+/// the off-diagonal solve pair, the column/row halves of the hierarchical
+/// solves, and the H×H product quadrants — takes its parallel branch.
+#[test]
+fn hlu_forks_are_bitwise_thread_invariant() {
+    let pts = surface_points(24);
+    let n = pts.len();
+    let tree = ClusterTree::build(&pts, 24);
+    let perm = tree.perm.clone();
+    let oracle = move |i: usize, j: usize| kernel_entry(&pts, n as f64, perm[i], perm[j]);
+    let opts = HOptions {
+        eps: 1e-6,
+        // Strict admissibility keeps the large off-diagonal blocks
+        // hierarchical, so the solves and products on them recurse.
+        eta: 0.5,
+        max_rank: 64,
+        method: AssembleMethod::Aca,
+    };
+    let h = HMatrix::assemble_root(&tree, &tree, &oracle, &opts);
+    let HKind::Hier(ch) = &h.kind else {
+        panic!("root must be hierarchical")
+    };
+    for (name, blk) in [
+        ("root", &h),
+        ("a21", &ch[1]),
+        ("a12", &ch[2]),
+        ("a22", &ch[3]),
+    ] {
+        assert!(
+            matches!(blk.kind, HKind::Hier(_)) && forks(blk),
+            "{name} ({}×{}) must be hierarchical and cross the fork gate {FORK_MIN_DIMS}",
+            blk.nrows(),
+            blk.ncols()
+        );
+    }
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let b = Mat::<f64>::random(n, 3, &mut rng);
+    let solve_at = |threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let h = HMatrix::assemble_root(&tree, &tree, &oracle, &opts);
+            let f = HLu::factor(h, 1e-6).unwrap();
+            let mut x = b.clone();
+            f.solve_in_place(x.as_mut());
+            x
+        })
+    };
+    let x1 = solve_at(1);
+    for threads in [2, 4] {
+        assert_eq!(solve_at(threads).data(), x1.data(), "{threads} threads");
+    }
 }
 
 #[test]

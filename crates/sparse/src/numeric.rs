@@ -27,7 +27,9 @@ use csolve_common::{
     ByteSized, Error, MemCharge, MemTracker, RealScalar, Result, Scalar, ScopeTracer, SpanKind,
     TraceEventKind, Tracer,
 };
-use csolve_dense::{gemm, partial_ldlt_nb, partial_lu_nb, trsm_left, Diag, Mat, MatMut, Op, Tri};
+use csolve_dense::{
+    gemm, partial_ldlt_nb, partial_lu_nb, trsm_left, Diag, Mat, MatMut, MatRef, Op, Tri,
+};
 use csolve_lowrank::LowRank;
 
 use crate::formats::Csc;
@@ -44,6 +46,13 @@ pub const BLR_MIN_ROWS: usize = 48;
 /// Minimum column count of an off-diagonal factor panel for BLR compression
 /// to be attempted (see [`BLR_MIN_ROWS`]).
 pub const BLR_MIN_COLS: usize = 16;
+
+/// Right-hand-side columns per leaf of the column-split multi-RHS solve
+/// (`SparseFactorization::solve_split`). The leaf partition depends only
+/// on the block width, so the solve is thread-count-invariant; 64 columns
+/// also keep a leaf's permuted buffer cache-resident enough to beat one
+/// whole-block pass on a single thread.
+const SOLVE_LEAF_COLS: usize = 64;
 
 /// Factorization kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -666,10 +675,16 @@ impl<T: Scalar> SparseFactorization<T> {
                 got: (b.nrows(), b.ncols()),
             });
         }
-        let marked = vec![true; self.sns.len()];
-        let mut bp = self.permute_rhs(b);
-        self.solve_permuted(&mut bp, &marked);
-        self.unpermute_into(&bp, b);
+        let perm = &self.symbolic.perm;
+        self.solve_split(b.as_mut(), 0, &|_, x, bp, marked| {
+            marked.fill(true);
+            for j in 0..x.ncols() {
+                let (src, dst) = (x.col(j), bp.col_mut(j));
+                for (new, &old) in perm.iter().enumerate() {
+                    dst[new] = src[old];
+                }
+            }
+        });
         Ok(())
     }
 
@@ -690,18 +705,54 @@ impl<T: Scalar> SparseFactorization<T> {
                 got: (rhs.nrows, rhs.ncols),
             });
         }
-        let n = self.n();
-        let nrhs = rhs.ncols;
-        // Permuted dense RHS + supernode marking.
-        let mut bp = Mat::<T>::zeros(n, nrhs);
-        let mut marked = vec![false; self.sns.len()];
-        for j in 0..nrhs {
-            for p in rhs.colptr[j]..rhs.colptr[j + 1] {
-                let newi = self.symbolic.iperm[rhs.rowidx[p]];
-                bp[(newi, j)] = rhs.values[p];
-                marked[self.symbolic.sn_of_col[newi]] = true;
+        let sym = &self.symbolic;
+        let mut out = Mat::<T>::zeros(self.n(), rhs.ncols);
+        // Each leaf scatters its own columns and marks the supernodes they
+        // touch.
+        self.solve_split(out.as_mut(), 0, &|c0, _, bp, marked| {
+            for j in 0..bp.ncols() {
+                for p in rhs.colptr[c0 + j]..rhs.colptr[c0 + j + 1] {
+                    let newi = sym.iperm[rhs.rowidx[p]];
+                    bp[(newi, j)] = rhs.values[p];
+                    marked[sym.sn_of_col[newi]] = true;
+                }
             }
+        });
+        Ok(out)
+    }
+
+    /// The column-split driver behind [`Self::solve_in_place`] and
+    /// [`Self::solve_sparse_rhs`]: solve the `n × w` block `x` (original
+    /// index order), whose first column is right-hand side `c0`.
+    ///
+    /// Blocks wider than [`SOLVE_LEAF_COLS`] are halved at a multiple of it
+    /// and the halves run under [`csolve_dense::join`], so the leaves are
+    /// always the columns `[k·SOLVE_LEAF_COLS, (k+1)·SOLVE_LEAF_COLS)`
+    /// whatever the thread count, and every leaf issues the same kernels
+    /// on the same operands: the result is bitwise-identical at any thread
+    /// count. A leaf calls `load(c0, x, bp, marked)` to fill its zeroed
+    /// permuted `n × w` buffer `bp` (from the right-hand side or from `x`
+    /// itself) and flag the supernodes its columns touch in `marked`,
+    /// solves in `bp`, and writes the solution back into `x`. Concurrent
+    /// leaves hold at most `w` columns of buffers between them: never more
+    /// than one whole-block permuted copy besides `x`.
+    fn solve_split<F>(&self, mut x: MatMut<'_, T>, c0: usize, load: &F)
+    where
+        F: Fn(usize, MatRef<'_, T>, &mut Mat<T>, &mut [bool]) + Sync,
+    {
+        let w = x.ncols();
+        if w > SOLVE_LEAF_COLS {
+            let mid = w.div_ceil(SOLVE_LEAF_COLS) / 2 * SOLVE_LEAF_COLS;
+            let (left, right) = x.split_at_col(mid);
+            csolve_dense::join(
+                || self.solve_split(left, c0, load),
+                || self.solve_split(right, c0 + mid, load),
+            );
+            return;
         }
+        let mut bp = Mat::<T>::zeros(self.n(), w);
+        let mut marked = vec![false; self.sns.len()];
+        load(c0, x.rb(), &mut bp, &mut marked);
         // Propagate marks to ancestors (supernodes are postordered).
         for s in 0..self.sns.len() {
             if marked[s] {
@@ -712,9 +763,12 @@ impl<T: Scalar> SparseFactorization<T> {
             }
         }
         self.solve_permuted(&mut bp, &marked);
-        let mut out = Mat::<T>::zeros(n, nrhs);
-        self.unpermute_into(&bp, &mut out);
-        Ok(out)
+        for j in 0..w {
+            let (src, dst) = (bp.col(j), x.col_mut(j));
+            for (new, &old) in self.symbolic.perm.iter().enumerate() {
+                dst[old] = src[new];
+            }
+        }
     }
 
     /// Partial solve through the Schur complement: condense the right-hand

@@ -351,3 +351,94 @@ fn multiple_rhs_counts() {
         assert!(err < 1e-10, "nrhs={nrhs}: {err:.3e}");
     }
 }
+
+/// Random sparse right-hand-side block: a few scattered nonzeros per column.
+fn sparse_rhs_block(n: usize, ncols: usize, seed: u64) -> Csc<f64> {
+    use rand::Rng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut coo = Coo::new(n, ncols);
+    for j in 0..ncols {
+        for _ in 0..3 {
+            coo.push(rng.random_range(0..n), j, rng.random_range(-1.0..1.0));
+        }
+    }
+    coo.to_csc()
+}
+
+fn max_rel_diff(a: &Mat<f64>, b: &Mat<f64>) -> f64 {
+    let mut d = a.clone();
+    d.axpy(-1.0, b);
+    d.norm_fro() / b.norm_fro().max(f64::MIN_POSITIVE)
+}
+
+/// The column-split multi-RHS solves, at widths around and across the leaf
+/// width: the same bits at 1, 2 and 4 threads, the column-at-a-time
+/// answer to roundoff, and — under `with_colwise_det`, the session's mode —
+/// each column bit-equal to its own width-1 solve, wherever its leaf ran.
+#[test]
+fn column_split_solves_are_thread_invariant_and_columnwise_exact() {
+    let pools: Vec<rayon::ThreadPool> = [1, 2, 4]
+        .iter()
+        .map(|&t| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(t)
+                .build()
+                .unwrap()
+        })
+        .collect();
+    let ldlt = SparseOptions {
+        blr_eps: Some(1e-10),
+        ..Default::default()
+    };
+    let lu = SparseOptions {
+        symmetry: Symmetry::UnsymmetricLu,
+        ..Default::default()
+    };
+    for (a, opts) in [(grid3d(8, 8, 6, 1.0), ldlt), (rand_unsym(400, 5), lu)] {
+        let f = factorize(&a, &opts).unwrap();
+        let n = a.nrows;
+        let all_rows: Vec<usize> = (0..n).collect();
+        for w in [1usize, 63, 64, 65, 128, 200, 257] {
+            let rhs = sparse_rhs_block(n, w, 1000 + w as u64);
+            let solve_both = || {
+                let xs = f.solve_sparse_rhs(&rhs).unwrap();
+                let mut xd = rhs.to_dense();
+                f.solve_in_place(&mut xd).unwrap();
+                (xs, xd)
+            };
+            let (xs1, xd1) = pools[0].install(solve_both);
+            for pool in &pools[1..] {
+                let (xs, xd) = pool.install(solve_both);
+                let t = pool.current_num_threads();
+                assert_eq!(xs.data(), xs1.data(), "sparse rhs, w={w}, {t} threads");
+                assert_eq!(xd.data(), xd1.data(), "dense rhs, w={w}, {t} threads");
+            }
+
+            // Column at a time, through each entry point.
+            let by_col = || {
+                let (mut xs, mut xd) = (Mat::<f64>::zeros(n, w), Mat::<f64>::zeros(n, w));
+                for j in 0..w {
+                    let col = rhs.submatrix(&all_rows, &[j]);
+                    xs.col_mut(j)
+                        .copy_from_slice(f.solve_sparse_rhs(&col).unwrap().col(0));
+                    let mut x = col.to_dense();
+                    f.solve_in_place(&mut x).unwrap();
+                    xd.col_mut(j).copy_from_slice(x.col(0));
+                }
+                (xs, xd)
+            };
+            let (cs, cd) = by_col();
+            assert!(max_rel_diff(&xs1, &cs) < 1e-12, "sparse rhs, w={w}");
+            assert!(max_rel_diff(&xd1, &cd) < 1e-12, "dense rhs, w={w}");
+            // The colwise mode's bitwise contract, leaves on helper
+            // threads included.
+            let (cs, cd) = csolve_dense::with_colwise_det(by_col);
+            for pool in &pools {
+                let t = pool.current_num_threads();
+                let (xs, xd) = pool.install(|| csolve_dense::with_colwise_det(solve_both));
+                assert_eq!(xs.data(), cs.data(), "colwise sparse, w={w}, {t} threads");
+                assert_eq!(xd.data(), cd.data(), "colwise dense, w={w}, {t} threads");
+            }
+        }
+    }
+}

@@ -144,6 +144,40 @@ fn batched_panels_match_one_shot_bitwise_across_widths_and_threads() {
     }
 }
 
+/// A batch wider than two leaves of the sparse solve's column split: at
+/// 2 threads some leaves of the panel's sparse solves run on a helper
+/// thread, and they must keep the session's column-wise kernel mode — the
+/// batched results must match width-1 flushes of the same session bit for
+/// bit.
+#[test]
+fn batch_wider_than_two_solve_leaves_matches_width_one_flushes() {
+    let _g = lock();
+    // Fronts large enough that the panel GEMMs take the packed kernel,
+    // whose accumulation order differs from the column-wise mode's.
+    let p = pipe_problem::<f64>(3000);
+    let w = 200;
+    let mut s = SessionBuilder::new(cfg(2), Algorithm::MultiSolve)
+        .max_batch(w)
+        .build::<f64>()
+        .unwrap();
+    for k in 0..w {
+        let (b_v, b_s) = rhs(&p, k as u64);
+        s.submit(&p, &b_v, &b_s).unwrap();
+    }
+    let batched = s.flush().unwrap();
+    assert_eq!(batched.len(), w);
+    for (k, r) in batched.iter().enumerate() {
+        assert_eq!(r.info.batch_width, w);
+        let (b_v, b_s) = rhs(&p, k as u64);
+        s.submit(&p, &b_v, &b_s).unwrap();
+        let single = s.flush().unwrap();
+        assert_eq!(single[0].info.batch_width, 1);
+        assert_eq!(bits(&r.xv), bits(&single[0].xv), "x_v diverged: rhs {k}");
+        assert_eq!(bits(&r.xs), bits(&single[0].xs), "x_s diverged: rhs {k}");
+    }
+    assert_eq!(s.stats().cache_misses, 1);
+}
+
 /// Every algorithm's batched panel path (including the advanced coupling's
 /// condensation solve) matches its one-shot solutions bit for bit.
 #[test]
